@@ -219,7 +219,6 @@ type party_state = {
   id : int;
   links : link_state array; (* in [Graph.neighbors] order *)
   repl : Replayer.t;
-  mutable status : bool;
   mutable net_correct : bool;
 }
 
@@ -254,8 +253,8 @@ let planned_rounds params pi =
 
 (* The hasher memoizes per (field, argument): within one iteration the
    meeting-points step hashes the same prefixes in [prepare] and again in
-   [process], and with δ-biased seeds each transcript-prefix hash costs a
-   pass over the expanded seed, so the cache matters.
+   [process], and each transcript-prefix hash costs a pass over the
+   transcript's words, so the cache matters.
 
    [?rot] is the seed-rot fault: a fixed nonzero mask XORed into every
    hash output, modeling a party whose stored seed words decayed — its
@@ -469,9 +468,7 @@ let compute_statuses ex parties ~alive ~statuses =
           in
           let len0 = Transcript.length p.links.(0).tr in
           let equal_lens = Array.for_all (fun l -> Transcript.length l.tr = len0) p.links in
-          let status = alive.(p.id) && (not in_mp) && equal_lens in
-          p.status <- status;
-          statuses.(p.id) <- status))
+          statuses.(p.id) <- alive.(p.id) && (not in_mp) && equal_lens))
 
 let simulation_phase ex net tp parties fc ch ~iter ~n_real =
   let graph = Network.graph net in
@@ -932,7 +929,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             id;
             links;
             repl = Replayer.create ch ~party:id ~input:inputs.(id) ~neighbors;
-            status = true;
             net_correct = true;
           })
     in

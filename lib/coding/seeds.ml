@@ -32,12 +32,5 @@ let hash_prefix t ~iter ~field x ~bits =
 let prefix_bit_sensitivity t ~iter ~field ~total_bits ~pos =
   assert (field >= 0 && field < prefix_fields);
   assert (pos >= 0 && pos < total_bits);
-  let offset = prefix_offset t ~iter ~field in
-  let nw = max 1 ((total_bits + 63) / 64) in
-  let mask = ref 0 in
-  for j = 0 to t.tau - 1 do
-    let w = Hashing.Seed_stream.word t.stream (offset + (j * nw) + (pos / 64)) in
-    if Int64.logand (Int64.shift_right_logical w (pos mod 64)) 1L = 1L then
-      mask := !mask lor (1 lsl j)
-  done;
-  !mask
+  Hashing.Ip_hash.hash_unit t.stream ~offset:(prefix_offset t ~iter ~field) ~tau:t.tau
+    ~bits:total_bits ~pos

@@ -41,4 +41,7 @@ val prefix_bit_sensitivity : t -> iter:int -> field:int -> total_bits:int -> pos
     that flip when input bit [pos] flips — the hash is GF(2)-linear, so
     h(x ⊕ e_pos) = h(x) xor this mask.  This is what a non-oblivious
     adversary (who knows the seeds) evaluates when hunting for a
-    corruption that produces a hash collision (§6.1). *)
+    corruption that produces a hash collision (§6.1).  It is
+    {!Hashing.Ip_hash.hash_unit} at the field's layout offset: τ seed
+    words on a uniform stream, τ field multiplications on a δ-biased
+    one. *)

@@ -22,8 +22,17 @@ val default : field
 (** A fixed field instance for keyed streams and tests. *)
 
 val mul : field -> int -> int -> int
+(** Field product.  A branch-free 4-bit-window multiply: 16 rounds of a
+    shift, one lookup in the field's 16-entry reduction table and four
+    masked xors.  Operands are read modulo 2^62 (their low 62 bits). *)
+
 val step : field -> int -> int
 (** [step f a] = a·x — one LFSR step. *)
+
+val reduce64 : field -> int64 -> int
+(** [reduce64 f w] = W(x) mod f, where W(x) = Σ_{t < 64, w_t = 1} x^t is
+    the polynomial of the word's 64 bits: bits 62 and 63 fold in as
+    x^62 ≡ low(x) and x^63 ≡ x·low(x). *)
 
 val pow_x : field -> int -> int
 (** x^i by square-and-multiply. *)

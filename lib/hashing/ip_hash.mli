@@ -8,7 +8,15 @@
     word offset; slabs are word-aligned (each output bit consumes
     [Bitvec.words x] seed words), so the seed cost of one hash is
     [tau * words] words.  For a uniform seed the collision probability of
-    two distinct inputs is exactly 2^{-τ} (Lemma 2.3). *)
+    two distinct inputs is exactly 2^{-τ} (Lemma 2.3).
+
+    Cost.  On uniform and explicit streams every call reads its [tau *
+    words] seed words one by one.  On a δ-biased stream the hash is
+    evaluated in GF(2^62) instead (DESIGN.md §2a): one pass over the
+    input's words (eight table lookups each) reduces it to a field
+    element, after which each of the τ output bits costs one field
+    multiplication — the cost no longer grows with τ × words, and the
+    generator's cursor is not moved. *)
 
 val max_tau : int
 (** Outputs are packed in an [int]; τ ≤ 30. *)
@@ -29,3 +37,10 @@ val words_cost : tau:int -> max_input_words:int -> int
 val hash_int : Seed_stream.t -> offset:int -> tau:int -> int -> int
 (** Hash of a single 63-bit non-negative integer (used for the
     meeting-points counters and positions); consumes [tau] seed words. *)
+
+val hash_unit : Seed_stream.t -> offset:int -> tau:int -> bits:int -> pos:int -> int
+(** [hash_unit s ~offset ~tau ~bits ~pos] is the hash of the unit vector
+    e_pos taken as a [bits]-bit input ([0 <= pos < bits]), i.e.
+    [hash_prefix s ~offset ~tau x ~bits] for an [x] whose only set bit
+    among the first [bits] is [pos].  By linearity it is the mask of
+    output bits that flip when input bit [pos] flips. *)

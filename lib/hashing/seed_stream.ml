@@ -12,7 +12,7 @@ let word t i =
   | Uniform key -> Util.Rng.at ~seed:key i
   | Explicit a -> if i < Array.length a then a.(i) else 0L
   | Biased gen ->
-      (* Sequential reads advance the cursor for free; jumps in either
-         direction cost O(popcount) field multiplications. *)
+      (* Sequential reads advance the cursor for free; a jump in either
+         direction is a table-driven seek. *)
       if Smallbias.Generator.word_index gen <> i then Smallbias.Generator.seek_word gen i;
       Smallbias.Generator.next_word gen

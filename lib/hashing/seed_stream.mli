@@ -13,7 +13,13 @@
       genuinely uniform shared randomness, and to model a corrupted
       exchange where the two endpoints hold different strings). *)
 
-type t
+type t = private
+  | Uniform of int64
+  | Biased of Smallbias.Generator.t
+  | Explicit of int64 array
+(** Read-only so that {!Ip_hash} can dispatch on the stream kind once per
+    call: a δ-biased stream is hashed in the field (see {!Ip_hash}), the
+    other two word by word. *)
 
 val uniform : key:int64 -> t
 val biased : Smallbias.Generator.t -> t
@@ -21,6 +27,9 @@ val explicit : int64 array -> t
 (** Out-of-range words read as zero. *)
 
 val word : t -> int -> int64
-(** [word t i] is the [i]-th 64-bit word of the string.  For δ-biased
-    streams sequential or forward access is cheap; arbitrary access works
-    but costs a field exponentiation. *)
+(** [word t i] is the [i]-th 64-bit word of the string.  For a δ-biased
+    stream, reading the word after the last one read is one byte-table
+    step of the generator (tens of ns); any other index costs a
+    {!Smallbias.Generator.seek_word} first (one multiplication per
+    nonzero base-16 digit of [i] plus a window rebuild, a few µs).  The
+    hash does not read δ-biased streams through [word]. *)

@@ -44,9 +44,36 @@ val word_index : t -> int
 (** Current cursor position in words. *)
 
 val seek_word : t -> int -> unit
-(** Move the cursor to an absolute word index; both directions cost
-    O(popcount) field multiplications via a precomputed power table.
-    After [seek_word g i], [next_word g] returns word [i]. *)
+(** Move the cursor to an absolute word index, in either direction.
+    Costs one field multiplication per nonzero base-16 digit of the
+    index beyond the first (the jump table of {!word_power}) plus a
+    62-step rebuild of the output window: about 1–3 µs for the word
+    offsets a run reaches.  After [seek_word g i], [next_word g] returns
+    word [i]. *)
 
 val bit_at : t -> int -> bool
-(** Random access to a single stream bit (does not move the cursor). *)
+(** Random access to a single stream bit (does not move the cursor):
+    one {!word_power} and one multiplication. *)
+
+(** {2 Field view}
+
+    Stream bit [b] is [dot g (x^b mod f)], and the map from a field point
+    to its bit is GF(2)-linear.  These give the inner-product hash its
+    field-evaluation kernel: hashing a whole input against a stretch of
+    the stream is a few multiplications instead of a pass over the
+    expanded words.  None of them moves the cursor, and the tables they
+    read are immutable, so they are safe from any domain. *)
+
+val field : t -> Gf.Gf2k.field
+
+val dot : t -> int -> int
+(** [dot g p] = ⟨p, s⟩ ∈ {0, 1}: the stream bit whose field point is [p]. *)
+
+val word_power : t -> int -> int
+(** [word_power g i] = x^(64·i) mod f, the field point of word [i]'s bit
+    0, from a nibble jump table of x^(64·d·16^l) (16 levels × 16
+    entries, built in {!create}). *)
+
+val mul_x64 : t -> int -> int
+(** [mul_x64 g p] = p·x^64 mod f for a field element [p]: eight lookups
+    in byte tables (8 × 256 entries, built in {!create}). *)

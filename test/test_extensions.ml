@@ -253,13 +253,10 @@ let test_calibrate_threshold_sane () =
 
 (* ---------- sensitivity oracle (the hunter's foundation) ---------- *)
 
-let test_prefix_bit_sensitivity_is_hash_delta () =
-  (* h(x xor e_p) = h(x) xor sensitivity(p): the GF(2)-linearity the
-     hunter exploits, checked directly against the hash. *)
-  let seeds =
-    Coding.Seeds.make ~stream:(Hashing.Seed_stream.uniform ~key:77L) ~tau:14 ~wmax:32 ~slot:0
-      ~slots:1
-  in
+(* h(x xor e_p) = h(x) xor sensitivity(p): the GF(2)-linearity the
+   hunter exploits, checked directly against the hash. *)
+let check_sensitivity_is_hash_delta stream =
+  let seeds = Coding.Seeds.make ~stream ~tau:14 ~wmax:32 ~slot:0 ~slots:1 in
   let r = Util.Rng.create 26 in
   for _ = 1 to 30 do
     let bits = 64 + Util.Rng.int r 900 in
@@ -279,6 +276,15 @@ let test_prefix_bit_sensitivity_is_hash_delta () =
     let sens = Coding.Seeds.prefix_bit_sensitivity seeds ~iter ~field ~total_bits:bits ~pos in
     Alcotest.(check int) "h(x xor e_p) = h(x) xor sens(p)" (hx lxor sens) hy
   done
+
+let test_prefix_bit_sensitivity_is_hash_delta () =
+  check_sensitivity_is_hash_delta (Hashing.Seed_stream.uniform ~key:77L)
+
+(* On a δ-biased stream the mask is a field evaluation, not a read of τ
+   seed words; it must still be the hash delta. *)
+let test_prefix_bit_sensitivity_biased () =
+  check_sensitivity_is_hash_delta
+    (Hashing.Seed_stream.biased (Smallbias.Generator.sample (Util.Rng.create 77)))
 
 let () =
   Alcotest.run "extensions"
@@ -328,6 +334,9 @@ let () =
           Alcotest.test_case "threshold sane" `Quick test_calibrate_threshold_sane;
         ] );
       ( "sensitivity",
-        [ Alcotest.test_case "hash delta oracle" `Quick test_prefix_bit_sensitivity_is_hash_delta ]
+        [
+          Alcotest.test_case "hash delta oracle" `Quick test_prefix_bit_sensitivity_is_hash_delta;
+          Alcotest.test_case "hash delta oracle biased" `Quick test_prefix_bit_sensitivity_biased;
+        ]
       );
     ]

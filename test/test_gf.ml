@@ -121,6 +121,56 @@ let prop_gf62_mul_linear_in_xor =
       let a = m a and b = m b and c = m c in
       Gf2k.mul f (a lxor b) c = Gf2k.mul f a c lxor Gf2k.mul f b c)
 
+(* The windowed multiply against the bit-serial definition: shift the
+   accumulator by x (reducing x^62 to the modulus' low bits), add [a]
+   wherever [b] has a one — over several moduli, random operands and the
+   edge operands. *)
+let ref_mul m_low a b =
+  let mask = (1 lsl 62) - 1 in
+  let times_x a = if a land (1 lsl 61) <> 0 then ((a lsl 1) land mask) lxor m_low else a lsl 1 in
+  let acc = ref 0 in
+  for i = 61 downto 0 do
+    acc := times_x !acc;
+    if (b lsr i) land 1 = 1 then acc := !acc lxor a
+  done;
+  !acc
+
+let edge_operands = [ 0; 1; 1 lsl 61; (1 lsl 62) - 1 ]
+
+let test_gf62_mul_vs_bit_serial () =
+  let r = Util.Rng.create 0x3A11 in
+  let moduli = Gf2k.modulus_low f :: List.init 4 (fun _ -> Gf2k.random_irreducible r) in
+  List.iter
+    (fun m_low ->
+      let fm = Gf2k.make ~modulus_low:m_low in
+      let check a b =
+        Alcotest.(check int) (Printf.sprintf "%x * %x mod %x" a b m_low) (ref_mul m_low a b)
+          (Gf2k.mul fm a b)
+      in
+      List.iter (fun a -> List.iter (fun b -> check a b) edge_operands) edge_operands;
+      for _ = 1 to 200 do
+        let a = rand62 () and b = rand62 () in
+        check a b;
+        List.iter (fun e -> check a e; check e a) edge_operands
+      done)
+    moduli
+
+let test_gf62_reduce64 () =
+  (* W mod f of a 64-bit word: bits 62 and 63 stand for x^62 and x^63. *)
+  let m = Gf2k.modulus_low f in
+  let x62 = ref_mul m (1 lsl 61) 2 in
+  let x63 = ref_mul m x62 2 in
+  let expect w =
+    let low = Int64.to_int w land ((1 lsl 62) - 1) in
+    let bit k = Int64.logand (Int64.shift_right_logical w k) 1L = 1L in
+    low lxor (if bit 62 then x62 else 0) lxor if bit 63 then x63 else 0
+  in
+  let words = [ 0L; 1L; -1L; Int64.min_int; Int64.shift_left 1L 62; Int64.max_int ] in
+  let words = words @ List.init 100 (fun _ -> Util.Rng.int64 rng) in
+  List.iter
+    (fun w -> Alcotest.(check int) (Printf.sprintf "reduce64 %Lx" w) (expect w) (Gf2k.reduce64 f w))
+    words
+
 (* --- GF(256) --- *)
 
 let test_gf256_mul_table_vs_naive () =
@@ -190,6 +240,8 @@ let () =
           Alcotest.test_case "mul associative" `Quick test_gf62_mul_associative;
           Alcotest.test_case "distributive" `Quick test_gf62_distributive;
           Alcotest.test_case "step = mul x" `Quick test_gf62_step_is_mul_x;
+          Alcotest.test_case "mul vs bit-serial" `Quick test_gf62_mul_vs_bit_serial;
+          Alcotest.test_case "reduce64 folds bits 62/63" `Quick test_gf62_reduce64;
           Alcotest.test_case "pow_x matches steps" `Quick test_gf62_pow_x_matches_steps;
           Alcotest.test_case "pow laws" `Quick test_gf62_pow_laws;
           Alcotest.test_case "fermat" `Quick test_gf62_fermat;

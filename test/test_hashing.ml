@@ -70,11 +70,10 @@ let test_hash_empty_input () =
   let s = Seed_stream.uniform ~key:13L in
   Alcotest.(check int) "empty hashes to 0" 0 (Ip_hash.hash s ~offset:0 ~tau:8 (Util.Bitvec.create ()))
 
-let test_hash_linearity () =
+let check_linearity s =
   (* Inner-product hash is GF(2)-linear: h(x xor y) = h(x) xor h(y) for
      same-length inputs with the same seed. *)
   let rng = Util.Rng.create 6 in
-  let s = Seed_stream.uniform ~key:14L in
   for _ = 1 to 20 do
     let len = 64 + Util.Rng.int rng 300 in
     let x = mk_input rng len and y = mk_input rng len in
@@ -86,6 +85,11 @@ let test_hash_linearity () =
       (Ip_hash.hash s ~offset:0 ~tau:16 x lxor Ip_hash.hash s ~offset:0 ~tau:16 y)
       (Ip_hash.hash s ~offset:0 ~tau:16 xy)
   done
+
+let test_hash_linearity () = check_linearity (Seed_stream.uniform ~key:14L)
+
+let test_hash_linearity_biased () =
+  check_linearity (Seed_stream.biased (Smallbias.Generator.sample (Util.Rng.create 14)))
 
 let collision_rate mk_stream ~tau ~trials =
   (* Estimate Pr[h(x) = h(y)] for a fixed pair x ≠ y over random seeds. *)
@@ -155,6 +159,97 @@ let prop_prefix_sensitivity =
       Ip_hash.hash s ~offset:0 ~tau:16 x <> Ip_hash.hash s ~offset:0 ~tau:16 y
       || Ip_hash.hash s ~offset:64 ~tau:16 x <> Ip_hash.hash s ~offset:64 ~tau:16 y)
 
+(* --- δ-biased streams: the field kernel against the word-by-word one ---
+
+   On a δ-biased stream [Ip_hash] evaluates the hash in GF(2^62); the
+   oracle is the plain inner product over [Seed_stream.word], the kernel
+   the uniform and explicit streams still use. *)
+
+let oracle_prefix stream ~offset ~tau x ~bits =
+  let nw = (bits + 63) / 64 in
+  let out = ref 0 in
+  for j = 0 to tau - 1 do
+    let acc = ref 0L in
+    for w = 0 to nw - 1 do
+      let xw = Util.Bitvec.word x w in
+      let keep = bits - (64 * w) in
+      let xw =
+        if keep >= 64 then xw else Int64.logand xw (Int64.sub (Int64.shift_left 1L keep) 1L)
+      in
+      acc := Int64.logxor !acc (Int64.logand xw (Seed_stream.word stream (offset + (j * max 1 nw) + w)))
+    done;
+    out := !out lor (Util.Bitvec.parity64 !acc lsl j)
+  done;
+  !out
+
+let oracle_int stream ~offset ~tau v =
+  let out = ref 0 in
+  for j = 0 to tau - 1 do
+    let w = Int64.logand (Int64.of_int v) (Seed_stream.word stream (offset + j)) in
+    out := !out lor (Util.Bitvec.parity64 w lsl j)
+  done;
+  !out
+
+let special_bits = [ 0; 1; 62; 63; 64; 65; 127; 128 ]
+
+(* A random input of [bits] bits followed by 70 one bits, so the hash
+   must ignore everything past the prefix; bits 62 and 63 of every word
+   are set, so the fold of x^62 and x^63 is always exercised. *)
+let tail_input rng bits =
+  let v = Util.Bitvec.create () in
+  for i = 0 to bits + 69 do
+    Util.Bitvec.push v (i >= bits || i mod 64 >= 62 || Util.Rng.bool rng)
+  done;
+  v
+
+let arb_case =
+  QCheck.make
+    ~print:(fun (seed, tau, offset, bits) ->
+      Printf.sprintf "seed=%d tau=%d offset=%d bits=%d" seed tau offset bits)
+    QCheck.Gen.(
+      quad (int_bound 1_000_000) (int_range 1 Ip_hash.max_tau) (int_bound (1 lsl 24))
+        (oneof [ oneofl special_bits; int_bound 700 ]))
+
+let prop_biased_prefix_matches_words =
+  QCheck.Test.make ~name:"biased hash_prefix/hash = word-by-word oracle" ~count:150 arb_case
+    (fun (seed, tau, offset, bits) ->
+      let rng = Util.Rng.create seed in
+      let s = Seed_stream.biased (Smallbias.Generator.sample rng) in
+      let x = tail_input rng bits in
+      let exact = Util.Bitvec.copy x in
+      Util.Bitvec.truncate exact bits;
+      let want = oracle_prefix s ~offset ~tau x ~bits in
+      Ip_hash.hash_prefix s ~offset ~tau x ~bits = want
+      && Ip_hash.hash s ~offset ~tau exact = want
+      && (bits > 0 || want = 0))
+
+let prop_biased_int_matches_words =
+  QCheck.Test.make ~name:"biased hash_int = word-by-word oracle" ~count:150 arb_case
+    (fun (seed, tau, offset, bits) ->
+      let rng = Util.Rng.create seed in
+      let s = Seed_stream.biased (Smallbias.Generator.sample rng) in
+      List.for_all
+        (fun v -> Ip_hash.hash_int s ~offset ~tau v = oracle_int s ~offset ~tau v)
+        [ max_int; 0; 1; bits; Int64.to_int (Util.Rng.int64 rng) land max_int ])
+
+let prop_biased_unit_matches_words =
+  QCheck.Test.make ~name:"biased hash_unit = hash of e_pos" ~count:100 arb_case
+    (fun (seed, tau, offset, bits) ->
+      let bits = max 1 bits in
+      let rng = Util.Rng.create seed in
+      let s = Seed_stream.biased (Smallbias.Generator.sample rng) in
+      let pos =
+        match seed mod 3 with
+        | 0 when bits > 62 -> 62
+        | 1 when bits > 63 -> 63
+        | _ -> Util.Rng.int rng bits
+      in
+      let e = Util.Bitvec.create () in
+      for i = 0 to bits - 1 do
+        Util.Bitvec.push e (i = pos)
+      done;
+      Ip_hash.hash_unit s ~offset ~tau ~bits ~pos = oracle_prefix s ~offset ~tau e ~bits)
+
 let () =
   Alcotest.run "hashing"
     [
@@ -172,11 +267,18 @@ let () =
           Alcotest.test_case "range" `Quick test_hash_range;
           Alcotest.test_case "empty input" `Quick test_hash_empty_input;
           Alcotest.test_case "linearity" `Quick test_hash_linearity;
+          Alcotest.test_case "linearity biased" `Quick test_hash_linearity_biased;
           Alcotest.test_case "collision rate uniform" `Slow test_collision_rate_uniform;
           Alcotest.test_case "collision rate biased" `Slow test_collision_rate_biased;
           Alcotest.test_case "collision rate drops with tau" `Slow test_collision_rate_drops_with_tau;
           Alcotest.test_case "hash_int" `Quick test_hash_int;
           Alcotest.test_case "words_cost" `Quick test_words_cost;
           QCheck_alcotest.to_alcotest prop_prefix_sensitivity;
+        ] );
+      ( "biased_kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_biased_prefix_matches_words;
+          QCheck_alcotest.to_alcotest prop_biased_int_matches_words;
+          QCheck_alcotest.to_alcotest prop_biased_unit_matches_words;
         ] );
     ]

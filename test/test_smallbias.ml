@@ -109,6 +109,26 @@ let test_empirical_bias_over_seeds () =
         (p > 0.38 && p < 0.62))
     tests
 
+let test_field_view () =
+  (* The jump and x^64 tables against plain exponentiation. *)
+  let g = Generator.sample (Util.Rng.create 20) in
+  let f = Generator.field g in
+  let x64 = Gf.Gf2k.pow_x f 64 in
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "word_power %d" i) (Gf.Gf2k.pow_x f (64 * i))
+        (Generator.word_power g i))
+    [ 0; 1; 15; 16; 17; 255; 4096; 65535; 1 lsl 24; (1 lsl 40) + 12345; 1 lsl 55 ];
+  let r = Util.Rng.create 21 in
+  for _ = 1 to 100 do
+    let p = Int64.to_int (Util.Rng.int64 r) land ((1 lsl 62) - 1) in
+    Alcotest.(check int) "mul_x64" (Gf.Gf2k.mul f p x64) (Generator.mul_x64 g p)
+  done;
+  for b = 0 to 200 do
+    Alcotest.(check bool) (Printf.sprintf "dot at bit %d" b) (Generator.bit_at g b)
+      (Generator.dot g (Gf.Gf2k.pow_x f b) = 1)
+  done
+
 let prop_word_index_tracks =
   QCheck.Test.make ~name:"word_index tracks next_word/seek" ~count:50
     QCheck.(small_nat)
@@ -128,6 +148,7 @@ let () =
           Alcotest.test_case "bit_at matches words" `Quick test_bit_at_matches_words;
           Alcotest.test_case "seek forward" `Quick test_seek_forward;
           Alcotest.test_case "seek far and back" `Quick test_seek_far_and_back;
+          Alcotest.test_case "field view" `Quick test_field_view;
           Alcotest.test_case "of_seed deterministic" `Quick test_of_seed_deterministic;
           Alcotest.test_case "of_seed valid modulus" `Slow test_of_seed_valid_modulus;
           Alcotest.test_case "zero state rejected" `Quick test_zero_state_rejected;
