@@ -275,7 +275,7 @@ let () =
           Alcotest.test_case "words_cost" `Quick test_words_cost;
           QCheck_alcotest.to_alcotest prop_prefix_sensitivity;
         ] );
-      ( "biased_kernel",
+      ( "ip_biased",
         [
           QCheck_alcotest.to_alcotest prop_biased_prefix_matches_words;
           QCheck_alcotest.to_alcotest prop_biased_int_matches_words;
